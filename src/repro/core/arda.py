@@ -10,9 +10,10 @@ can amortize the expensive parts across the many selectors they compare:
   execute every batch join on the coreset (soft keys, resampling,
   pre-aggregation, imputation), and encode each batch into a numpy
   matrix. Pure Spark until the final encode.
-* ``run_selector``     — run one named selection method over the encoded
-  batches, always force-keeping the base-table features; returns the kept
-  augmented feature names and the selection wall-clock.
+* ``run_selector``     — run one selection method, looked up by name in
+  the ``SELECTORS`` table, over the encoded batches, always force-keeping
+  the base-table features; returns the kept augmented feature names and
+  the selection wall-clock.
 * ``final_estimate``   — join the *full* base table with just the tables
   that contributed kept features, train the paper's lightly
   auto-optimized Random-Forest estimator, and report the holdout score.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
@@ -38,13 +40,14 @@ from repro.joins.resample import align_time_tables
 from repro.joins.soft import soft_left_join
 from repro.ml.encode import assemble
 from repro.ml.evaluate import Evaluator, accuracy, mae, make_estimator, train_test_split
-from repro.selectors import applicable, rank_scores  # registers all rankers
+from repro.selectors import rank_scores  # registers all rankers
+from repro.selectors.base import SelectionResult
 from repro.selectors.tuple_ratio import tr_filter
 from repro.selectors.wrappers import backward_elimination, forward_selection, rfe
 from repro.repository.repo import Scenario
 
 __all__ = ["ArdaConfig", "ArdaResult", "prepare_batches", "run_selector",
-           "final_estimate", "run_arda", "Batch"]
+           "final_estimate", "run_arda", "Batch", "SELECTORS"]
 
 _CHECKPOINT_EVERY = 8  # truncate join lineage on long batch chains
 
@@ -118,10 +121,37 @@ def _apply_tr_prefilter(scenario: Scenario, candidates: list[CandidateJoin],
     return kept, len(candidates) - len(kept)
 
 
+def _join_chain(df: DataFrame, cands: list[CandidateJoin], scenario: Scenario,
+                seed: int) -> DataFrame:
+    """Join each candidate onto ``df`` in order, truncating the lineage
+    with a checkpoint after every ``_CHECKPOINT_EVERY`` joins."""
+    for i, cand in enumerate(cands):
+        df = join_candidate(df, cand, scenario.repo[cand.table], seed=seed)
+        if (i + 1) % _CHECKPOINT_EVERY == 0:
+            df = df.localCheckpoint(eager=True)
+    return df
+
+
+def _is_base(name: str, scenario: Scenario, tables) -> bool:
+    """True when encoded column ``name`` is a base-table feature (force-kept)
+    rather than an augmentation. Without a repository, the base features
+    are those derived from ``scenario.base_feature_cols`` and every other
+    column of the base table is augmentation; otherwise the augmentations
+    are the columns prefixed by one of the joined ``tables``. An encoded
+    column derives from raw column ``c`` as ``c`` itself, a one-hot
+    ``c==v`` or a datetime ``c__part``."""
+    if scenario.base_feature_cols is not None:
+        return any(name == c or name.startswith(c + "==") or name.startswith(c + "__")
+                   for c in scenario.base_feature_cols)
+    return not any(name.startswith(t + "__") for t in tables)
+
+
 def prepare_batches(spark: SparkSession, scenario: Scenario, cfg: ArdaConfig
                     ) -> tuple[list[Batch], dict]:
-    """Coreset + join plan + batch joins + encoding. Returns (batches, info)."""
-    t0 = time.perf_counter()
+    """Coreset + join plan + batch joins + encoding. Returns (batches, info).
+
+    An empty plan (a micro-benchmark scenario with no repository) yields
+    one batch over the coreset itself, with no joins."""
     info: dict = {}
     size = cfg.coreset_size
     coreset = build_coreset(scenario.base, size, cfg.coreset_method,
@@ -144,75 +174,85 @@ def prepare_batches(spark: SparkSession, scenario: Scenario, cfg: ArdaConfig
 
     drop_cols = list(scenario.key_cols)
     batches: list[Batch] = []
-    if not plan:
-        # Micro-benchmark path (no repository): one batch over the base
-        # table itself — ``base_feature_cols`` are the force-keep "user
-        # table", every other column is augmentation to select over.
-        pdf = coreset.toPandas().sort_values("__row_id")
-        pdf = pdf.drop(columns=[c for c in drop_cols + ["__row_id"] if c in pdf.columns])
-        X, y, names, _ = assemble(pdf, scenario.target, scenario.task)
-        if cfg.coreset_method == "sketch" and len(y) > 0:
-            X, y = sketch_dataset(X, y, ell=min(size, len(y)), task=scenario.task,
-                                  seed=cfg.seed)
-        base_idx = np.array([j for j, nm in enumerate(names)
-                             if _from_cols(nm, scenario.base_feature_cols or [])],
-                            dtype=int)
-        aug_idx = np.array([j for j in range(len(names))
-                            if j not in set(base_idx.tolist())], dtype=int)
-        batches.append(Batch(X, y, names, base_idx, aug_idx, []))
-        info["prepare_time_s"] = time.perf_counter() - t0
-        return batches, info
-    for batch in plan:
-        df = coreset
-        new_tables = []
-        for i, cand in enumerate(batch):
-            df = join_candidate(df, cand, scenario.repo[cand.table], seed=cfg.seed)
-            new_tables.append(cand.table)
-            if (i + 1) % _CHECKPOINT_EVERY == 0:
-                df = df.localCheckpoint(eager=True)
-        # Truncate the N-join lineage before imputation/encoding: both run
-        # several jobs over the result and would otherwise re-execute the
-        # whole join chain each time.
-        df = df.localCheckpoint(eager=True)
-        aug_cols = [c for c in df.columns if "__" in c and c != "__row_id"]
-        df = impute(df, cols=aug_cols, seed=cfg.seed)
+    for batch in plan or [[]]:
+        df = _join_chain(coreset, batch, scenario, cfg.seed)
+        if batch:
+            # Truncate the N-join lineage before imputation/encoding: both
+            # run several jobs over the result and would otherwise
+            # re-execute the whole join chain each time.
+            df = df.localCheckpoint(eager=True)
+            aug_cols = [c for c in df.columns if "__" in c and c != "__row_id"]
+            df = impute(df, cols=aug_cols, seed=cfg.seed)
         pdf = df.toPandas().sort_values("__row_id")
         pdf = pdf.drop(columns=[c for c in drop_cols + ["__row_id"] if c in pdf.columns])
         X, y, names, _ = assemble(pdf, scenario.target, scenario.task)
         if cfg.coreset_method == "sketch" and len(y) > 0:
             X, y = sketch_dataset(X, y, ell=min(size, len(y)), task=scenario.task,
                                   seed=cfg.seed)
-        base_idx = np.array([j for j, nm in enumerate(names)
-                             if not any(nm.startswith(t + "__") for t in new_tables)],
-                            dtype=int)
-        aug_idx = np.array([j for j in range(len(names)) if j not in set(base_idx)],
-                           dtype=int)
-        batches.append(Batch(X, y, names, base_idx, aug_idx, new_tables))
-    info["prepare_time_s"] = time.perf_counter() - t0
+        tables = [cand.table for cand in batch]
+        is_base = np.array([_is_base(nm, scenario, tables) for nm in names], dtype=bool)
+        batches.append(Batch(X, y, names, np.flatnonzero(is_base),
+                             np.flatnonzero(~is_base), tables))
     return batches, info
 
 
-def _select_in_batch(batch: Batch, selector: str, task: str, cfg: ArdaConfig
+@dataclass(frozen=True)
+class Selector:
+    """A selection method: its per-batch callable, whether it gets the
+    lighter ``wrapper_*`` holdout forest, and the tasks it applies to."""
+
+    select: Callable[[Batch, Evaluator, ArdaConfig], SelectionResult]
+    tasks: frozenset[str] = frozenset({"reg", "cls"})
+    wrapper: bool = False
+
+
+def _ranked(name: str, tasks=("reg", "cls")) -> Selector:
+    """Ranking by the ``name`` ranker, cut by the §6.3 exponential search."""
+    def select(b: Batch, ev: Evaluator, cfg: ArdaConfig) -> SelectionResult:
+        scores = rank_scores(name, b.X, b.y, ev.task, cfg.seed)
+        return exponential_search(ev, scores, force_keep=b.base_idx)
+    return Selector(select, frozenset(tasks))
+
+
+def _keep_base(b: Batch, ev: Evaluator, cfg: ArdaConfig) -> SelectionResult:
+    return SelectionResult(b.base_idx, float("nan"), 0.0)
+
+
+def _keep_all(b: Batch, ev: Evaluator, cfg: ArdaConfig) -> SelectionResult:
+    return SelectionResult(np.arange(b.X.shape[1]), float("nan"), 0.0)
+
+
+# Every selection method by name (paper §5/§7: RIFS, wrappers, and rankers
+# cut by exponential search). Paper Table 1 marks lasso n/a on
+# classification and logistic regression / linear SVC n/a on regression.
+# The callables look this module's globals up at call time.
+SELECTORS: dict[str, Selector] = {
+    "rifs": Selector(lambda b, ev, cfg: rifs_select(ev, cfg.rifs, force_keep=b.base_idx)),
+    "forward_selection": Selector(lambda b, ev, cfg: forward_selection(
+        ev, max_features=cfg.wrapper_max_features, candidate_pool=cfg.wrapper_pool,
+        seed=cfg.seed), wrapper=True),
+    "backward_selection": Selector(
+        lambda b, ev, cfg: backward_elimination(ev, seed=cfg.seed), wrapper=True),
+    "rfe": Selector(lambda b, ev, cfg: rfe(ev, seed=cfg.seed), wrapper=True),
+    "baseline": Selector(_keep_base),
+    "none": Selector(_keep_base),
+    "all_features": Selector(_keep_all),
+    **{name: _ranked(name) for name in ("random_forest", "sparse_regression", "f_test",
+                                        "mutual_info", "pearson", "relief")},
+    "lasso": _ranked("lasso", {"reg"}),
+    "logistic_reg": _ranked("logistic_reg", {"cls"}),
+    "linear_svc": _ranked("linear_svc", {"cls"}),
+}
+
+
+def _select_in_batch(batch: Batch, sel: Selector, task: str, cfg: ArdaConfig
                      ) -> tuple[list[str], int]:
     """Run one selector on one batch; returns (kept augmented names, fits)."""
-    if selector in ("forward_selection", "backward_selection", "rfe"):
-        ev = Evaluator(batch.X, batch.y, task, seed=cfg.seed,
-                       n_trees=cfg.wrapper_trees, max_depth=cfg.wrapper_depth)
-    else:
-        ev = Evaluator(batch.X, batch.y, task, seed=cfg.seed,
-                       n_trees=cfg.eval_trees, max_depth=cfg.eval_depth)
-    if selector == "rifs":
-        res = rifs_select(ev, cfg.rifs, force_keep=batch.base_idx)
-    elif selector == "forward_selection":
-        res = forward_selection(ev, max_features=cfg.wrapper_max_features,
-                                candidate_pool=cfg.wrapper_pool, seed=cfg.seed)
-    elif selector == "backward_selection":
-        res = backward_elimination(ev, seed=cfg.seed)
-    elif selector == "rfe":
-        res = rfe(ev, seed=cfg.seed)
-    else:  # plain ranking + exponential search (paper §6.3 cut)
-        scores = rank_scores(selector, batch.X, batch.y, task, cfg.seed)
-        res = exponential_search(ev, scores, force_keep=batch.base_idx)
+    trees, depth = ((cfg.wrapper_trees, cfg.wrapper_depth) if sel.wrapper
+                    else (cfg.eval_trees, cfg.eval_depth))
+    ev = Evaluator(batch.X, batch.y, task, seed=cfg.seed,
+                   n_trees=trees, max_depth=depth)
+    res = sel.select(batch, ev, cfg)
     aug = set(batch.aug_idx.tolist())
     kept = [batch.names[j] for j in res.selected if j in aug]
     return kept, res.n_model_fits
@@ -221,19 +261,16 @@ def _select_in_batch(batch: Batch, selector: str, task: str, cfg: ArdaConfig
 def run_selector(batches: list[Batch], selector: str, task: str,
                  cfg: ArdaConfig) -> tuple[list[str], float, int]:
     """Selection across all batches; returns (kept names, seconds, fits)."""
-    if selector in ("baseline", "none"):
-        return [], 0.0, 0
-    t0 = time.perf_counter()
-    if selector == "all_features":
-        kept = [nm for b in batches for nm in (batch_aug_names(b))]
-        return kept, time.perf_counter() - t0, 0
-    if not applicable(selector, task) and selector not in (
-            "rifs", "forward_selection", "backward_selection", "rfe", "all_features"):
+    if selector not in SELECTORS:
+        raise ValueError(f"unknown selector {selector!r}; known: {sorted(SELECTORS)}")
+    sel = SELECTORS[selector]
+    if task not in sel.tasks:
         raise ValueError(f"selector {selector!r} is n/a for task {task!r}")
+    t0 = time.perf_counter()
     kept: list[str] = []
     fits = 0
     for b in batches:
-        k, f = _select_in_batch(b, selector, task, cfg)
+        k, f = _select_in_batch(b, sel, task, cfg)
         kept.extend(k)
         fits += f
     if len(batches) > 1 and kept:
@@ -242,7 +279,7 @@ def run_selector(batches: list[Batch], selector: str, task: str,
         # (the join plan is "iteratively executed", §4 — this is the final
         # iteration). Re-select once over base + everything kept so far.
         union = _union_batch(batches, kept)
-        kept, f = _select_in_batch(union, selector, task, cfg)
+        kept, f = _select_in_batch(union, sel, task, cfg)
         fits += f
     return kept, time.perf_counter() - t0, fits
 
@@ -265,17 +302,6 @@ def _union_batch(batches: list[Batch], kept_names: list[str]) -> Batch:
     n_base = len(b0.base_idx)
     return Batch(X, b0.y, names, np.arange(n_base),
                  np.arange(n_base, X.shape[1]), tables)
-
-
-def batch_aug_names(b: Batch) -> list[str]:
-    return [b.names[j] for j in b.aug_idx]
-
-
-def _from_cols(name: str, raw_cols: list[str]) -> bool:
-    """True when encoded feature ``name`` derives from one of ``raw_cols``
-    (identity, one-hot ``col==v``, or datetime ``col__part`` expansion)."""
-    return any(name == c or name.startswith(c + "==") or name.startswith(c + "__")
-               for c in raw_cols)
 
 
 def _tables_of(names: list[str], known_tables: set[str]) -> set[str]:
@@ -301,7 +327,8 @@ def _impute_pandas(pdf, cols: list[str], seed: int):
         if not s.isna().any():
             continue
         if pd.api.types.is_numeric_dtype(s):
-            med = s.median()
+            # the lower median, as Spark's percentile_approx returns
+            med = s.quantile(0.5, interpolation="lower")
             pdf[c] = s.fillna(0.0 if pd.isna(med) else med)
         else:
             dom = s.dropna().unique()
@@ -352,11 +379,7 @@ def final_estimate(spark: SparkSession, scenario: Scenario,
     by_table = {c.table: c for c in scenario.candidates}
     hard = sorted(t for t in used_tables if not by_table[t].soft)
     soft = sorted(t for t in used_tables if by_table[t].soft)
-    df = scenario.base
-    for i, t in enumerate(soft):
-        df = join_candidate(df, by_table[t], scenario.repo[t], seed=cfg.seed)
-        if (i + 1) % _CHECKPOINT_EVERY == 0:
-            df = df.localCheckpoint(eager=True)
+    df = _join_chain(scenario.base, [by_table[t] for t in soft], scenario, cfg.seed)
     if len(hard) > _FAST_JOIN_MIN_TABLES:
         pdf = df.toPandas()
         for t in hard:
@@ -367,10 +390,7 @@ def final_estimate(spark: SparkSession, scenario: Scenario,
         X, y, names, _ = assemble(pdf, scenario.target, scenario.task)
         return _estimate_from_matrix(scenario, used_tables, kept_names,
                                      X, y, names, cfg)
-    for i, t in enumerate(hard):
-        df = join_candidate(df, by_table[t], scenario.repo[t], seed=cfg.seed)
-        if (i + 1) % _CHECKPOINT_EVERY == 0:
-            df = df.localCheckpoint(eager=True)
+    df = _join_chain(df, [by_table[t] for t in hard], scenario, cfg.seed)
     aug_cols = [c for c in df.columns if "__" in c]
     if aug_cols:
         df = df.localCheckpoint(eager=True)
@@ -385,14 +405,8 @@ def _estimate_from_matrix(scenario: Scenario, used_tables: set[str],
                           kept_names: list[str], X: np.ndarray, y: np.ndarray,
                           names: list[str], cfg: ArdaConfig) -> tuple[float, int]:
     keep_set = set(kept_names)
-    if scenario.base_feature_cols is not None:
-        # Micro path: the base table itself holds the augmentation columns.
-        cols = [j for j, nm in enumerate(names)
-                if nm in keep_set or _from_cols(nm, scenario.base_feature_cols)]
-    else:
-        cols = [j for j, nm in enumerate(names)
-                if nm in keep_set
-                or not any(nm.startswith(t + "__") for t in used_tables)]
+    cols = [j for j, nm in enumerate(names)
+            if nm in keep_set or _is_base(nm, scenario, used_tables)]
     Xs = X[:, cols]
     strat = y if scenario.task == "cls" else None
     # Average over two holdout splits to damp split noise; within each,

@@ -29,7 +29,7 @@ from repro.selectors.tuple_ratio import tr_filter
 
 __all__ = ["broadcast_joins", "make_cfg", "scenario_sizes", "load",
            "REG_SELECTORS", "CLS_SELECTORS", "selector_list", "run_method",
-           "save_table", "tr_standalone", "automl_rows", "metric_name"]
+           "save_table", "tr_standalone", "automl_rows"]
 
 # Paper Table 1 / Table 6 method rows (ours; AutoML rows handled separately)
 _COMMON = ["rifs", "backward_selection", "forward_selection", "rfe",
@@ -102,10 +102,6 @@ def make_cfg(quick: bool, **overrides) -> ArdaConfig:
     for k, v in overrides.items():
         setattr(cfg, k, v)
     return cfg
-
-
-def metric_name(task: str) -> str:
-    return "accuracy" if task == "cls" else "mae"
 
 
 @dataclass

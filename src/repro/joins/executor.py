@@ -18,10 +18,10 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-__all__ = ["preaggregate", "left_join", "prefix_columns"]
+__all__ = ["preaggregate", "left_join", "prefix_columns", "NUMERIC_TYPES"]
 
-_NUMERIC = (T.IntegerType, T.LongType, T.FloatType, T.DoubleType,
-            T.ShortType, T.ByteType, T.DecimalType)
+NUMERIC_TYPES = (T.IntegerType, T.LongType, T.FloatType, T.DoubleType,
+                 T.ShortType, T.ByteType, T.DecimalType)
 
 
 def preaggregate(foreign: DataFrame, keys: list[str]) -> DataFrame:
@@ -30,7 +30,7 @@ def preaggregate(foreign: DataFrame, keys: list[str]) -> DataFrame:
     for f in foreign.schema.fields:
         if f.name in keys:
             continue
-        if isinstance(f.dataType, _NUMERIC):
+        if isinstance(f.dataType, NUMERIC_TYPES):
             aggs.append(F.avg(F.col(f.name)).alias(f.name))
         else:
             aggs.append(F.min(F.col(f.name)).alias(f.name))
@@ -47,18 +47,16 @@ def prefix_columns(df: DataFrame, prefix: str, exclude: list[str]) -> DataFrame:
 
 
 def left_join(base: DataFrame, foreign: DataFrame, base_keys: list[str],
-              foreign_keys: list[str], prefix: str,
-              deduplicate: bool = True) -> DataFrame:
+              foreign_keys: list[str], prefix: str) -> DataFrame:
     """LEFT-join ``foreign`` onto ``base`` on (possibly composite) keys.
 
-    ``deduplicate`` pre-aggregates the foreign side so the join is
-    many-to-one and cannot duplicate base rows. Join keys on the foreign
-    side are dropped after the join (the base copy stays).
+    The foreign side is pre-aggregated first, so the join is many-to-one
+    and cannot duplicate base rows. Join keys on the foreign side are
+    dropped after the join (the base copy stays).
     """
     if len(base_keys) != len(foreign_keys) or not base_keys:
         raise ValueError("base_keys and foreign_keys must be equal-length, non-empty")
-    f = preaggregate(foreign, foreign_keys) if deduplicate else foreign
-    f = prefix_columns(f, prefix, exclude=[])
+    f = prefix_columns(preaggregate(foreign, foreign_keys), prefix, exclude=[])
     pf_keys = [f"{prefix}__{k}" for k in foreign_keys]
     cond = None
     for bk, fk in zip(base_keys, pf_keys):

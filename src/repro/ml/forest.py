@@ -11,15 +11,12 @@ scratch in numpy (DESIGN.md §2). Design choices:
 * Impurity: variance (regression) / Gini (classification). Feature
   importances are impurity-decrease sums, normalized to 1 — the quantity
   RIFS uses as the Random-Forest half of its ranking ensemble (§6.2).
-* Trees can be trained in parallel across a SparkSession via
-  ``mapInPandas`` over a seed DataFrame (one task per tree batch); the
-  default is in-driver, which is faster below a few thousand rows.
+* Trees are trained one after another in the driver process.
 
 The forest is deterministic in ``seed`` for a fixed thread-free path.
 """
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,7 +103,7 @@ class RandomForest:
             k = int(mf)
         return max(1, min(d, k))
 
-    def fit(self, X: np.ndarray, y: np.ndarray, spark=None) -> "RandomForest":
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForest":
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] != len(y):
             raise ValueError(f"bad shapes X={X.shape} y={np.shape(y)}")
@@ -120,10 +117,7 @@ class RandomForest:
             self.classes_ = None
             y_work = np.asarray(y, dtype=np.float64)
         seeds = rng.integers(0, 2**31 - 1, self.n_trees)
-        if spark is not None and self.n_trees >= 8:
-            self.trees = _fit_trees_spark(spark, self, B, y_work, seeds)
-        else:
-            self.trees = [self._fit_tree(B, y_work, int(s)) for s in seeds]
+        self.trees = [self._fit_tree(B, y_work, int(s)) for s in seeds]
         return self
 
     def _fit_tree(self, B: np.ndarray, y: np.ndarray, seed: int) -> Tree:
@@ -240,33 +234,3 @@ class RandomForest:
         imp = np.mean([t.importances for t in self.trees], axis=0)
         s = imp.sum()
         return imp / s if s > 0 else imp
-
-
-def _fit_trees_spark(spark, forest: RandomForest, B: np.ndarray,
-                     y: np.ndarray, seeds: np.ndarray) -> list[Tree]:
-    """Train trees in parallel across Spark executors.
-
-    The binned matrix is shipped once per task via closure capture (it is
-    coreset-sized); each task fits its batch of trees and returns them
-    pickled in a binary column — a DataFrame-API map, not an RDD job.
-    """
-    import pandas as pd
-
-    payload = pickle.dumps((forest.task, forest.max_depth, forest.min_samples_leaf,
-                            forest.max_features, forest.n_bins,
-                            forest.classes_, B, y))
-    seed_df = spark.createDataFrame(pd.DataFrame({"seed": seeds.astype("int64")}))
-    n_part = min(len(seeds), max(2, spark.sparkContext.defaultParallelism))
-    seed_df = seed_df.repartition(n_part)
-
-    def fit_batch(batches):
-        task, md, msl, mf, nb, classes, Bx, yx = pickle.loads(payload)
-        rf = RandomForest(task=task, max_depth=md, min_samples_leaf=msl,
-                          max_features=mf, n_bins=nb)
-        rf.classes_ = classes
-        for pdf in batches:
-            trees = [rf._fit_tree(Bx, yx, int(s)) for s in pdf["seed"]]
-            yield pd.DataFrame({"tree": [pickle.dumps(t) for t in trees]})
-
-    out = seed_df.mapInPandas(fit_batch, schema="tree binary").collect()
-    return [pickle.loads(r["tree"]) for r in out]

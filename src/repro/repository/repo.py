@@ -61,7 +61,6 @@ class Scenario:
     # columns of the base table that identify rows / act as keys (never
     # treated as features by the encoder — they are dropped before ML)
     key_cols: list[str] = field(default_factory=list)
-    error_scale: float = 1.0  # paper reports MAE x10^5 etc.; we record the scale
     # Micro-benchmark scenarios (no repository): the "user's base table" is
     # this column subset; every other column in ``base`` (remaining original
     # features + planted noise) counts as augmentation to be selected over.

@@ -1,11 +1,13 @@
-"""Ranker/selector interfaces and the registry used by jobs and ARDA.
+"""The ranker registry and the selection result type.
 
 Paper §7 distinguishes *ranking* methods (random forest, sparse
 regression, mutual info, logistic regression, lasso, relief, linear SVM,
 f-test) — which produce per-feature scores that are then cut with the
 exponential doubling + binary search of §6.3 — from *wrapper* methods
 (forward/backward selection, RFE) that drive the model loop themselves,
-and from RIFS. ``select`` dispatches all of them behind one interface.
+and from RIFS. ``RANKERS`` holds the scoring functions of the rankers;
+the selector table ``repro.core.arda.SELECTORS`` puts all three kinds
+behind one interface and records which tasks each applies to.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Ranker", "SelectionResult", "RANKERS", "register_ranker",
+__all__ = ["SelectionResult", "RANKERS", "register_ranker",
            "rank_scores", "applicable"]
 
 # name -> callable(X, y, task, seed) -> scores (len d, higher = better)
@@ -28,19 +30,11 @@ def register_ranker(name: str):
     return deco
 
 
-@dataclass
-class Ranker:
-    """A named scoring function over feature columns."""
-
-    name: str
-
-    def rank(self, X: np.ndarray, y: np.ndarray, task: str, seed: int = 0) -> np.ndarray:
-        return rank_scores(self.name, X, y, task, seed)
-
-
 def rank_scores(name: str, X: np.ndarray, y: np.ndarray, task: str, seed: int = 0) -> np.ndarray:
     if name not in RANKERS:
         raise KeyError(f"unknown ranker {name!r}; have {sorted(RANKERS)}")
+    if not applicable(name, task):
+        raise ValueError(f"ranker {name!r} is n/a for task {task!r}")
     s = np.asarray(RANKERS[name](X, y, task, seed), dtype=float)
     if s.shape != (X.shape[1],):
         raise ValueError(f"ranker {name} returned shape {s.shape} for d={X.shape[1]}")
@@ -48,11 +42,10 @@ def rank_scores(name: str, X: np.ndarray, y: np.ndarray, task: str, seed: int = 
 
 
 def applicable(name: str, task: str) -> bool:
-    """Paper Table 1 marks lasso n/a on classification and logistic
-    regression / linear SVC n/a on regression; mirror that."""
-    if task == "cls":
-        return name != "lasso"
-    return name not in ("logistic_reg", "linear_svc")
+    """Whether selector ``name`` applies to ``task``, per the selector table."""
+    # The table lives with the pipeline, which imports this module.
+    from repro.core.arda import SELECTORS
+    return task in SELECTORS[name].tasks
 
 
 @dataclass

@@ -95,8 +95,9 @@ class TestSelectors:
 
     def test_inapplicable_selector_raises(self, school_cfg, school_batches):
         batches, _ = school_batches
-        with pytest.raises(ValueError):
-            run_selector(batches, "lasso", "cls", school_cfg)
+        for selector in ("lasso", "nope"):  # n/a for the task; unknown
+            with pytest.raises(ValueError):
+                run_selector(batches, selector, "cls", school_cfg)
 
 
 class TestStrategies:

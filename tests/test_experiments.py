@@ -36,10 +36,6 @@ class TestHelpers:
         cfg = common.make_cfg(True, coreset_method="sketch", budget=99)
         assert cfg.coreset_method == "sketch" and cfg.budget == 99
 
-    def test_metric_name(self):
-        assert common.metric_name("cls") == "accuracy"
-        assert common.metric_name("reg") == "mae"
-
     def test_broadcast_joins_restores(self, spark):
         key = "spark.sql.autoBroadcastJoinThreshold"
         before = spark.conf.get(key)

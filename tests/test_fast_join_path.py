@@ -6,6 +6,7 @@ import pytest
 import repro.core.arda as arda
 from repro.core.arda import (ArdaConfig, _impute_pandas, _merge_hard_pandas,
                              final_estimate)
+from repro.joins.impute import impute
 from repro.joins.plan import CandidateJoin
 from repro.repository import datasets
 
@@ -32,9 +33,19 @@ class TestMergeHardPandas:
 
 class TestImputePandas:
     def test_numeric_median(self):
+        # the lower median of an even count of observed values, as Spark's
+        # percentile_approx gives
         pdf = pd.DataFrame({"a": [1.0, np.nan, 3.0]})
         out = _impute_pandas(pdf, ["a"], seed=0)
-        assert out["a"].iloc[1] == pytest.approx(2.0)
+        assert out["a"].iloc[1] == pytest.approx(1.0)
+
+    def test_numeric_fill_matches_spark_impute(self, spark):
+        vals = [5.0, None, 1.0, 8.0, None, 2.0, 13.0, 3.0]  # 6 observed
+        pdf = pd.DataFrame({"row": range(len(vals)), "a": vals})
+        want = impute(spark.createDataFrame(pdf), cols=["a"]).toPandas()
+        got = _impute_pandas(pdf.copy(), ["a"], seed=0)
+        np.testing.assert_array_equal(got.sort_values("row")["a"].to_numpy(),
+                                      want.sort_values("row")["a"].to_numpy())
 
     def test_categorical_from_domain(self):
         pdf = pd.DataFrame({"c": ["x", None, "y", None]})

@@ -1,11 +1,9 @@
 """Tests for filter-model scores: f-test, mutual information, Pearson —
 numpy paths plus agreement of the distributed Spark paths."""
 import numpy as np
-import pandas as pd
 import pytest
 
-from repro.selectors.filters import (f_scores, f_scores_spark, mutual_info_scores,
-                                     mutual_info_spark, pearson_scores)
+from repro.selectors.filters import f_scores, mutual_info_scores, pearson_scores
 
 
 @pytest.fixture(scope="module")
@@ -101,36 +99,3 @@ class TestMutualInfo:
         y = rng.normal(size=1000)
         mi = mutual_info_scores(X, y, "reg")
         assert (mi < 0.1).all()
-
-
-class TestSparkAgreement:
-    def _df(self, spark, X, y):
-        pdf = pd.DataFrame(X, columns=[f"f{i}" for i in range(X.shape[1])])
-        pdf["label"] = y
-        return spark.createDataFrame(pdf), [f"f{i}" for i in range(X.shape[1])]
-
-    def test_f_scores_reg_matches_numpy(self, spark, reg_data):
-        X, y = reg_data
-        df, cols = self._df(spark, X, y)
-        got = f_scores_spark(df, cols, "label", "reg")
-        np.testing.assert_allclose(got, f_scores(X, y, "reg"), rtol=1e-6)
-
-    def test_f_scores_cls_matches_numpy(self, spark, cls_data):
-        X, y = cls_data
-        df, cols = self._df(spark, X, y)
-        got = f_scores_spark(df, cols, "label", "cls")
-        np.testing.assert_allclose(got, f_scores(X, y, "cls"), rtol=1e-6)
-
-    def test_mutual_info_spark_ranks_signal_first(self, spark, cls_data):
-        X, y = cls_data
-        df, cols = self._df(spark, X[:, :4], y)
-        got = mutual_info_spark(df, cols[:4], "label", "cls")
-        assert np.argmax(got) == 0
-
-    def test_mutual_info_spark_close_to_numpy(self, spark, reg_data):
-        X, y = reg_data
-        df, cols = self._df(spark, X[:, :3], y)
-        got = mutual_info_spark(df, cols[:3], "label", "reg")
-        want = mutual_info_scores(X[:, :3], y, "reg")
-        # binning differs (approxQuantile vs exact); ordering must agree
-        assert list(np.argsort(got)) == list(np.argsort(want))

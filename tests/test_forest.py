@@ -169,16 +169,3 @@ class TestEdgeCases:
         for mf in ("sqrt", "all", 0.5, 3):
             rf = RandomForest(task="reg", n_trees=3, max_features=mf, seed=0).fit(X, y)
             assert rf.predict(X[:5]).shape == (5,)
-
-
-class TestDistributedTraining:
-    def test_spark_matches_local(self, spark, reg_data):
-        X, y = reg_data
-        local = RandomForest(task="reg", n_trees=8, seed=3).fit(X, y)
-        dist = RandomForest(task="reg", n_trees=8, seed=3).fit(X, y, spark=spark)
-        np.testing.assert_allclose(local.predict(X[:40]), dist.predict(X[:40]))
-
-    def test_spark_cls(self, spark, cls_data):
-        X, y = cls_data
-        dist = RandomForest(task="cls", n_trees=8, seed=3).fit(X, y, spark=spark)
-        assert (dist.predict(X) == y).mean() > 0.8
